@@ -183,8 +183,9 @@ fn main() {
 
     // -- closed-loop engine run with a live ingest stream --
     // Closed-loop clients bound the in-flight count, so a batch can never
-    // grow past `clients`; matching max_batch to that releases each batch
-    // the moment every in-flight query has joined it instead of lingering.
+    // grow past `clients`. They call `score()`, which tells admission they
+    // block on each ticket: a batch closes as soon as a worker is free for
+    // it, and `max_wait` never comes into play.
     let engine_cfg = ServeConfig {
         batch: BatchPolicy {
             max_batch: clients.max(2),

@@ -19,6 +19,11 @@
 //! [`Overloaded::DeadlineExceeded`]: scoring them would burn capacity
 //! producing answers the SLO already voided.
 //!
+//! Lingering only pays while somebody can still join the batch: when
+//! every queued ticket's submitter is blocked on it
+//! ([`AdmissionQueue::submit_blocking`]) the batch closes at once. One
+//! *streaming* ticket ([`AdmissionQueue::submit`]) restores the timers.
+//!
 //! A third typed shed covers worker failure: when a scoring worker
 //! panics mid-batch, the supervisor resolves every query it was holding
 //! with [`Overloaded::WorkerFailed`] (see [`AdmissionQueue::fail_batch`])
@@ -220,6 +225,8 @@ pub struct Pending {
     pub deadline: Instant,
     /// Priority lane the query was admitted to.
     pub lane: usize,
+    /// The submitter may submit more before it waits on this ticket.
+    streaming: bool,
     ticket: Arc<Oneshot>,
     fulfilled: bool,
 }
@@ -313,8 +320,31 @@ struct LaneCounters {
 
 struct Shared {
     lanes: Vec<VecDeque<Pending>>,
+    /// Queued streaming tickets; batches wait on a timer only while this
+    /// is non-zero. [`Shared::pop`], the one way out of a lane, keeps it.
+    streaming: usize,
     closed: bool,
 }
+
+impl Shared {
+    fn pop(&mut self, lane: usize) -> Option<Pending> {
+        let p = self.lanes[lane].pop_front()?;
+        self.streaming -= usize::from(p.streaming);
+        Some(p)
+    }
+}
+
+/// Why `next_batch` stopped waiting; indexes [`CLOSE_REASONS`].
+#[derive(Clone, Copy)]
+enum Close {
+    Full,
+    Blocking,
+    Timer,
+    SloMargin,
+    Closed,
+}
+
+const CLOSE_REASONS: [&str; 5] = ["full", "blocking", "timer", "slo_margin", "closed"];
 
 /// MPMC admission queue: bounded priority lanes in, deadline-aware batches
 /// out.
@@ -323,6 +353,10 @@ pub struct AdmissionQueue {
     notify: Condvar,
     policy: AdmissionPolicy,
     counters: Vec<LaneCounters>,
+    /// `taser_admission_batch_close_total{reason=...}`, indexed by
+    /// [`Close`], bumped once per drained batch: why `mean_batch` is what
+    /// it is.
+    closes: [Arc<taser_obs::Counter>; CLOSE_REASONS.len()],
 }
 
 impl AdmissionQueue {
@@ -334,6 +368,7 @@ impl AdmissionQueue {
         AdmissionQueue {
             shared: Mutex::new(Shared {
                 lanes: (0..policy.lanes).map(|_| VecDeque::new()).collect(),
+                streaming: 0,
                 closed: false,
             }),
             notify: Condvar::new(),
@@ -351,6 +386,11 @@ impl AdmissionQueue {
                         .gauge(&format!("taser_admission_in_flight{{lane=\"{lane}\"}}")),
                 })
                 .collect(),
+            closes: CLOSE_REASONS.map(|reason| {
+                taser_obs::global().counter(&format!(
+                    "taser_admission_batch_close_total{{reason=\"{reason}\"}}"
+                ))
+            }),
         }
     }
 
@@ -364,7 +404,29 @@ impl AdmissionQueue {
     /// lane is at capacity. A closed queue (engine shutting down) sheds at
     /// the door with [`Overloaded::QueueFull`] — a draining server must
     /// answer late clients with typed backpressure, not a panic.
+    ///
+    /// The ticket is *streaming*: the caller may submit more before it
+    /// waits, so a forming batch lingers for the rest of the stream.
     pub fn submit(&self, query: LinkQuery, lane: usize) -> Result<ScoreTicket, Overloaded> {
+        self.admit(query, lane, true)
+    }
+
+    /// [`AdmissionQueue::submit`] for a caller that waits on this ticket
+    /// before it submits anything else: no batch lingers on its account.
+    pub fn submit_blocking(
+        &self,
+        query: LinkQuery,
+        lane: usize,
+    ) -> Result<ScoreTicket, Overloaded> {
+        self.admit(query, lane, false)
+    }
+
+    pub(crate) fn admit(
+        &self,
+        query: LinkQuery,
+        lane: usize,
+        streaming: bool,
+    ) -> Result<ScoreTicket, Overloaded> {
         let lane = lane.min(self.policy.lanes - 1);
         let mut q = self.shared.lock().expect("admission lock poisoned");
         if q.closed {
@@ -389,9 +451,11 @@ impl AdmissionQueue {
             submitted,
             deadline: submitted + self.policy.slo,
             lane,
+            streaming,
             ticket: ticket.clone(),
             fulfilled: false,
         });
+        q.streaming += usize::from(streaming);
         self.counters[lane].admitted.fetch_add(1, Ordering::Relaxed);
         self.counters[lane]
             .depth_gauge
@@ -410,6 +474,12 @@ impl AdmissionQueue {
             .iter()
             .map(VecDeque::len)
             .sum()
+    }
+
+    /// Queued streaming tickets (see [`AdmissionQueue::submit`]); at zero
+    /// the next batch closes without waiting on a timer.
+    pub fn streaming_queued(&self) -> usize {
+        self.freeze().shared.streaming
     }
 
     /// Per-lane admission counters (admitted / shed at door / shed expired
@@ -492,98 +562,106 @@ impl AdmissionQueue {
     /// with [`Overloaded::DeadlineExceeded`]. Lanes are FIFO with a uniform
     /// SLO, so expired tickets are always a prefix of each lane.
     fn shed_expired(&self, q: &mut Shared, now: Instant) {
-        for (lane_no, lane) in q.lanes.iter_mut().enumerate() {
-            let before = lane.len();
-            while lane.front().is_some_and(|p| p.deadline <= now) {
-                let p = lane.pop_front().expect("checked nonempty");
+        for lane_no in 0..q.lanes.len() {
+            let before = q.lanes[lane_no].len();
+            while q.lanes[lane_no].front().is_some_and(|p| p.deadline <= now) {
+                let p = q.pop(lane_no).expect("checked nonempty");
                 self.counters[lane_no]
                     .shed_deadline
                     .fetch_add(1, Ordering::Relaxed);
                 p.reject(Overloaded::DeadlineExceeded { lane: lane_no });
             }
-            if lane.len() != before {
-                self.counters[lane_no].depth_gauge.set(lane.len() as i64);
+            let left = q.lanes[lane_no].len();
+            if left != before {
+                self.counters[lane_no].depth_gauge.set(left as i64);
             }
         }
     }
 
-    /// Earliest instant at which the forming batch must close: per lane
-    /// front (its oldest ticket), the sooner of `submitted + max_wait` and
-    /// `deadline - slo_margin`, minimized across lanes.
-    fn close_deadline(&self, q: &Shared) -> Instant {
-        let mut at: Option<Instant> = None;
-        for lane in &q.lanes {
-            if let Some(p) = lane.front() {
-                let by_wait = p.submitted + self.policy.batch.max_wait;
-                let by_slo = p
-                    .deadline
-                    .checked_sub(self.policy.slo_margin)
-                    .unwrap_or(p.submitted);
-                let close = by_wait.min(by_slo);
-                at = Some(at.map_or(close, |a| a.min(close)));
+    /// Earliest instant at which the forming batch must close, and which
+    /// bound set it: per lane front (its oldest ticket), the sooner of
+    /// `submitted + max_wait` and `deadline - slo_margin`, minimized across
+    /// lanes.
+    fn close_deadline(&self, q: &Shared) -> (Instant, Close) {
+        let bounds = q.lanes.iter().filter_map(VecDeque::front).map(|p| {
+            let by_wait = p.submitted + self.policy.batch.max_wait;
+            let by_slo = p
+                .deadline
+                .checked_sub(self.policy.slo_margin)
+                .unwrap_or(p.submitted);
+            if by_slo < by_wait {
+                (by_slo, Close::SloMargin)
+            } else {
+                (by_wait, Close::Timer)
             }
-        }
-        at.expect("close_deadline on an empty queue")
+        });
+        bounds
+            .min_by_key(|&(at, _)| at)
+            .expect("close_deadline on an empty queue")
     }
 
-    /// Blocks for the next batch: returns as soon as `max_batch` queries
-    /// are waiting, `max_wait` after the oldest arrived, or when the oldest
+    /// Blocks for the next batch and drains it into `batch` (the caller's
+    /// recycled buffer, passed in empty): returns as soon as `max_batch`
+    /// queries are waiting, no queued ticket is streaming (nobody is left
+    /// to join), `max_wait` after the oldest arrived, or when the oldest
     /// nears its SLO deadline — whichever is earliest. Higher-priority
     /// lanes drain first (FIFO within a lane). Expired tickets are shed
-    /// (never returned). Returns `None` only when the queue is closed *and*
-    /// drained — workers use that as their exit signal.
-    pub fn next_batch(&self) -> Option<Vec<Pending>> {
+    /// (never returned). Returns `false` only when the queue is closed
+    /// *and* drained — workers use that as their exit signal.
+    pub fn next_batch(&self, batch: &mut Vec<Pending>) -> bool {
         let mut q = self.shared.lock().expect("admission lock poisoned");
-        loop {
+        let why = loop {
             self.shed_expired(&mut q, Instant::now());
             let total: usize = q.lanes.iter().map(VecDeque::len).sum();
             if total == 0 {
                 if q.closed {
-                    return None;
+                    return false;
                 }
                 q = self.notify.wait(q).expect("admission lock poisoned");
                 continue;
             }
-            if total >= self.policy.batch.max_batch || q.closed {
-                break;
+            if total >= self.policy.batch.max_batch {
+                break Close::Full;
             }
-            let close_at = self.close_deadline(&q);
+            if q.closed {
+                break Close::Closed;
+            }
+            if q.streaming == 0 {
+                break Close::Blocking;
+            }
+            let (close_at, bound) = self.close_deadline(&q);
             let now = Instant::now();
             if now >= close_at {
-                break;
+                break bound;
             }
             let (guard, _) = self
                 .notify
                 .wait_timeout(q, close_at - now)
                 .expect("admission lock poisoned");
             q = guard;
-        }
-        let mut batch = Vec::new();
-        'drain: for (lane_no, lane) in q.lanes.iter_mut().enumerate() {
-            let before = lane.len();
-            while let Some(p) = lane.pop_front() {
+        };
+        self.closes[why as usize].inc();
+        for lane_no in 0..q.lanes.len() {
+            let before = q.lanes[lane_no].len();
+            while batch.len() < self.policy.batch.max_batch {
+                let Some(p) = q.pop(lane_no) else { break };
                 // still under the shared lock: queued → in_flight is one
                 // atomic transition from a snapshot reader's point of view
                 let c = &self.counters[lane_no];
                 c.in_flight.fetch_add(1, Ordering::Relaxed);
                 c.in_flight_gauge.add(1);
                 batch.push(p);
-                if batch.len() == self.policy.batch.max_batch {
-                    if lane.len() != before {
-                        c.depth_gauge.set(lane.len() as i64);
-                    }
-                    break 'drain;
-                }
             }
-            if lane.len() != before {
-                self.counters[lane_no].depth_gauge.set(lane.len() as i64);
+            let left = q.lanes[lane_no].len();
+            if left != before {
+                self.counters[lane_no].depth_gauge.set(left as i64);
             }
         }
-        Some(batch)
+        true
     }
 
     /// Closes the queue: wakes every waiter; `next_batch` drains what is
-    /// queued and then reports `None`.
+    /// queued and then reports `false`.
     pub fn close(&self) {
         self.shared.lock().expect("admission lock poisoned").closed = true;
         self.notify.notify_all();
@@ -638,6 +716,22 @@ mod tests {
         }
     }
 
+    /// One `next_batch` into a fresh buffer; `None` is the exit signal.
+    fn next(b: &AdmissionQueue) -> Option<Vec<Pending>> {
+        let mut batch = Vec::new();
+        b.next_batch(&mut batch).then_some(batch)
+    }
+
+    /// Process-wide close counter for `reason`. Other tests in this binary
+    /// bump it concurrently, so assertions on it are lower bounds.
+    fn closes(reason: &str) -> u64 {
+        taser_obs::global()
+            .counter(&format!(
+                "taser_admission_batch_close_total{{reason=\"{reason}\"}}"
+            ))
+            .get()
+    }
+
     fn policy(max_batch: usize, max_wait: Duration) -> AdmissionPolicy {
         AdmissionPolicy {
             batch: BatchPolicy {
@@ -655,7 +749,7 @@ mod tests {
             b.submit(q(i), 0).unwrap();
         }
         let start = Instant::now();
-        let batch = b.next_batch().unwrap();
+        let batch = next(&b).unwrap();
         assert_eq!(batch.len(), 4);
         assert!(
             start.elapsed() < Duration::from_secs(5),
@@ -668,8 +762,106 @@ mod tests {
     fn partial_batch_released_by_latency_bound() {
         let b = AdmissionQueue::new(policy(1000, Duration::from_millis(20)));
         b.submit(q(7), 0).unwrap();
-        let batch = b.next_batch().unwrap();
+        let batch = next(&b).unwrap();
         assert_eq!(batch.len(), 1, "latency bound must release the batch");
+    }
+
+    #[test]
+    fn blocking_only_queue_closes_without_the_timer() {
+        // nobody queued can add to the batch, so an hour-long max_wait
+        // (and a far-off SLO margin) must not hold it
+        let b = AdmissionQueue::new(policy(1000, Duration::from_secs(3600)));
+        for i in 0..3 {
+            b.submit_blocking(q(i), 0).unwrap();
+        }
+        assert_eq!(b.streaming_queued(), 0);
+        let closed_before = closes("blocking");
+        let start = Instant::now();
+        let batch = next(&b).unwrap();
+        assert!(
+            closes("blocking") > closed_before,
+            "close reason is counted"
+        );
+        assert!(
+            start.elapsed() < Duration::from_millis(50),
+            "blocking tickets waited {:?} for company that cannot come",
+            start.elapsed()
+        );
+        assert_eq!(batch.len(), 3, "everything queued rides along, FIFO");
+        assert_eq!(batch[0].query.src, 0);
+    }
+
+    #[test]
+    fn one_streaming_ticket_restores_timer_and_max_batch_close() {
+        // timer: the streaming ticket's submitter may still be sending, so
+        // the batch lingers for max_wait even beside blocking tickets
+        let b = AdmissionQueue::new(policy(4, Duration::from_millis(40)));
+        b.submit_blocking(q(0), 0).unwrap();
+        b.submit(q(1), 0).unwrap();
+        assert_eq!(b.streaming_queued(), 1);
+        let closed_before = closes("timer");
+        let start = Instant::now();
+        assert_eq!(next(&b).unwrap().len(), 2);
+        assert!(closes("timer") > closed_before, "close reason is counted");
+        assert!(
+            start.elapsed() >= Duration::from_millis(20),
+            "a streaming ticket must hold the batch open ({:?})",
+            start.elapsed()
+        );
+        assert_eq!(b.streaming_queued(), 0, "drained tickets leave the count");
+
+        // max_batch: an hour-long timer, closed by the fourth ticket
+        let b = Arc::new(AdmissionQueue::new(policy(4, Duration::from_secs(3600))));
+        b.submit(q(0), 0).unwrap();
+        let worker = {
+            let b = b.clone();
+            std::thread::spawn(move || next(&b).unwrap().len())
+        };
+        for i in 1..4 {
+            b.submit_blocking(q(i), 0).unwrap();
+        }
+        assert_eq!(
+            worker.join().unwrap(),
+            4,
+            "held until full, not closed early"
+        );
+    }
+
+    #[test]
+    fn streaming_count_returns_to_zero_through_every_exit() {
+        // expiry shed
+        let b = AdmissionQueue::new(AdmissionPolicy {
+            slo: Duration::ZERO,
+            ..policy(10, Duration::from_secs(3600))
+        });
+        let t = b.submit(q(1), 0).unwrap();
+        assert_eq!(b.streaming_queued(), 1);
+        b.close();
+        assert!(next(&b).is_none());
+        assert_eq!(t.wait(), Err(Overloaded::DeadlineExceeded { lane: 0 }));
+        assert_eq!(b.streaming_queued(), 0, "shed_expired");
+
+        // close, drain in max_batch pieces across lanes, fail_batch, and a
+        // batch dropped unresolved (a worker that died holding it)
+        let b = AdmissionQueue::new(policy(2, Duration::from_secs(3600)));
+        let tickets: Vec<_> = (0..5)
+            .map(|i| b.submit(q(i), (i % 2) as usize).unwrap())
+            .collect();
+        assert_eq!(b.streaming_queued(), 5);
+        b.close();
+        assert_eq!(b.streaming_queued(), 5, "close alone drops nothing");
+        let mut first = next(&b).unwrap();
+        assert_eq!(b.streaming_queued(), 3);
+        b.fail_batch(&mut first);
+        assert_eq!(b.streaming_queued(), 3, "fail_batch holds no queued ticket");
+        drop(next(&b).unwrap());
+        assert_eq!(b.streaming_queued(), 1);
+        assert_eq!(next(&b).unwrap().len(), 1);
+        assert_eq!(b.streaming_queued(), 0);
+        assert!(next(&b).is_none());
+        for t in tickets {
+            assert!(matches!(t.wait(), Err(Overloaded::WorkerFailed { .. })));
+        }
     }
 
     #[test]
@@ -687,7 +879,7 @@ mod tests {
         });
         let t = b.submit(q(1), 0).unwrap();
         let start = Instant::now();
-        let batch = b.next_batch().unwrap();
+        let batch = next(&b).unwrap();
         let waited = start.elapsed();
         assert_eq!(batch.len(), 1);
         assert!(
@@ -728,7 +920,7 @@ mod tests {
         assert_eq!(counters[1].admitted, 2);
         assert_eq!(counters[1].shed_full, 1);
         // priority order: lane 0 drains before lane 1 despite arriving last
-        let batch = b.next_batch().unwrap();
+        let batch = next(&b).unwrap();
         let srcs: Vec<u32> = batch.iter().map(|p| p.query.src).collect();
         assert_eq!(srcs, vec![0, 10, 11], "lane 0 first, then lane 1 FIFO");
     }
@@ -752,7 +944,7 @@ mod tests {
         let t = b.submit(q(1), 0).unwrap();
         b.close();
         // the drain sheds the expired ticket and then reports exhaustion
-        assert!(b.next_batch().is_none());
+        assert!(next(&b).is_none());
         assert_eq!(t.wait(), Err(Overloaded::DeadlineExceeded { lane: 0 }));
         assert_eq!(b.lane_admission()[0].shed_deadline, 1);
     }
@@ -763,7 +955,7 @@ mod tests {
         for i in 0..7 {
             b.submit(q(i), 0).unwrap();
         }
-        let sizes: Vec<usize> = (0..3).map(|_| b.next_batch().unwrap().len()).collect();
+        let sizes: Vec<usize> = (0..3).map(|_| next(&b).unwrap().len()).collect();
         assert_eq!(sizes, vec![3, 3, 1]);
     }
 
@@ -773,7 +965,7 @@ mod tests {
         let worker = {
             let b = b.clone();
             std::thread::spawn(move || {
-                let batch = b.next_batch().unwrap();
+                let batch = next(&b).unwrap();
                 for (i, p) in batch.into_iter().enumerate() {
                     p.fulfill(ScoreResult {
                         prob: 0.25 + i as f32,
@@ -799,8 +991,8 @@ mod tests {
         let b = AdmissionQueue::new(policy(10, Duration::from_millis(1)));
         b.submit(q(1), 0).unwrap();
         b.close();
-        assert_eq!(b.next_batch().unwrap().len(), 1);
-        assert!(b.next_batch().is_none(), "closed + drained = exit signal");
+        assert_eq!(next(&b).unwrap().len(), 1);
+        assert!(next(&b).is_none(), "closed + drained = exit signal");
         assert_eq!(b.backlog(), 0);
     }
 
@@ -819,7 +1011,7 @@ mod tests {
         let worker = {
             let b = b.clone();
             std::thread::spawn(move || {
-                for p in b.next_batch().unwrap() {
+                for p in next(&b).unwrap() {
                     p.fulfill(ScoreResult {
                         prob: 0.5,
                         generation: 1,
@@ -847,7 +1039,7 @@ mod tests {
         let tickets: Vec<_> = (0..3).map(|i| b.submit(q(i), 4).unwrap()).collect();
         assert_eq!(depth.get(), 3, "three queued after three submits");
         assert_eq!(in_flight.get(), 0);
-        let batch = b.next_batch().unwrap();
+        let batch = next(&b).unwrap();
         assert_eq!(depth.get(), 0, "drain empties the lane");
         assert_eq!(in_flight.get(), 3, "drained queries are in flight");
         for p in batch {
@@ -870,7 +1062,7 @@ mod tests {
         let t = b.submit(q(1), 0).unwrap();
         // simulate a worker that drained the batch and then died without
         // reaching the fail_batch recovery site
-        drop(b.next_batch());
+        drop(next(&b));
         assert_eq!(t.wait(), Err(Overloaded::WorkerFailed { lane: 0 }));
     }
 
@@ -878,7 +1070,7 @@ mod tests {
     fn fail_batch_moves_in_flight_to_shed_worker_failed() {
         let b = AdmissionQueue::new(policy(8, Duration::from_millis(1)));
         let tickets: Vec<_> = (0..3).map(|i| b.submit(q(i), 0).unwrap()).collect();
-        let mut batch = b.next_batch().unwrap();
+        let mut batch = next(&b).unwrap();
         assert_eq!(b.lane_admission()[0].in_flight, 3);
         b.fail_batch(&mut batch);
         assert!(batch.is_empty());

@@ -810,6 +810,10 @@ impl ServeEngine {
     /// ticket resolves to a probability plus the generation that scored it,
     /// or a typed shed. A full lane rejects immediately with
     /// [`Overloaded::QueueFull`] — backpressure, not unbounded queueing.
+    ///
+    /// The forming batch lingers (up to `max_wait` / the SLO margin) for
+    /// whatever else the caller submits before it waits; one that waits on
+    /// each ticket in turn wants [`ServeEngine::submit_blocking`].
     pub fn submit(&self, src: u32, dst: u32, t: f64) -> Result<ScoreTicket, Overloaded> {
         self.submit_lane(src, dst, t, 0)
     }
@@ -823,6 +827,24 @@ impl ServeEngine {
         t: f64,
         lane: usize,
     ) -> Result<ScoreTicket, Overloaded> {
+        self.admit(LinkQuery { src, dst, t }, lane, true)
+    }
+
+    /// [`ServeEngine::submit_lane`] for a caller that waits on this ticket
+    /// before it submits anything else (a protocol session, a closed-loop
+    /// client): it can add nothing to the batch, so the batch closes as
+    /// soon as every queued ticket is of this kind, not after `max_wait`.
+    pub fn submit_blocking(
+        &self,
+        src: u32,
+        dst: u32,
+        t: f64,
+        lane: usize,
+    ) -> Result<ScoreTicket, Overloaded> {
+        self.admit(LinkQuery { src, dst, t }, lane, false)
+    }
+
+    fn admit(&self, q: LinkQuery, lane: usize, streaming: bool) -> Result<ScoreTicket, Overloaded> {
         if self.is_sealed() {
             // sealed engines shed at the door instead of panicking on the
             // closed queue — a draining server must answer late clients
@@ -831,7 +853,13 @@ impl ServeEngine {
                 lane: lane.min(lanes - 1),
             });
         }
-        self.host.admission.submit(LinkQuery { src, dst, t }, lane)
+        self.host.admission.admit(q, lane, streaming)
+    }
+
+    /// Queued [`ServeEngine::submit`] tickets; batches wait on a timer
+    /// only while this is non-zero.
+    pub fn streaming_queued(&self) -> usize {
+        self.host.admission.streaming_queued()
     }
 
     /// Convenience: submit into lane 0 and block for the outcome.
@@ -841,7 +869,7 @@ impl ServeEngine {
 
     /// Convenience: submit into `lane` and block for the outcome.
     pub fn score_lane(&self, src: u32, dst: u32, t: f64, lane: usize) -> ScoreOutcome {
-        match self.submit_lane(src, dst, t, lane) {
+        match self.submit_blocking(src, dst, t, lane) {
             Ok(ticket) => ticket.wait(),
             Err(shed) => Err(shed),
         }
@@ -1122,23 +1150,21 @@ fn worker_loop(host: &WorkerHost, id: usize) {
     let mut queries: Vec<LinkQuery> = Vec::new();
     let mut probs: Vec<f32> = Vec::new();
     let mut meta: Vec<(usize, Instant, Instant)> = Vec::new();
+    // The batch buffer, recycled too (scoring drains it), lives *outside*
+    // the unwind boundary: a panic inside the scoring pass leaves its
+    // unresolved tickets reachable in `held`, and the recovery site below
+    // turns every one of them into a typed `WorkerFailed` shed with exact
+    // counter accounting.
+    let mut held: Vec<Pending> = Vec::new();
     let metrics = &host.worker_metrics[id];
     let beat = &host.beats[id];
     loop {
         beat.set_idle();
         taser_obs::profile::idle();
-        let Some(batch) = host.admission.next_batch() else {
+        if !host.admission.next_batch(&mut held) {
             break;
-        };
-        if batch.is_empty() {
-            continue;
         }
         beat.set_busy(host.epoch);
-        // The batch lives *outside* the unwind boundary: a panic inside
-        // the scoring pass leaves its unresolved tickets reachable in
-        // `held`, and the recovery site below turns every one of them
-        // into a typed `WorkerFailed` shed with exact counter accounting.
-        let mut held = batch;
         let scored = catch_unwind(AssertUnwindSafe(|| {
             score_one_batch(
                 host,

@@ -93,7 +93,11 @@ fn usage() -> ! {
          [--cache-ratio f] [--index-backend rebuild|incremental] \
          [--trace-out path] [--no-health] [--slo-target f] \
          [--wal-dir dir] [--checkpoint-every n] [--wal-flush-every n] \
-         [--repl-listen addr] [--replicate-to addr] [--replicate-from addr]"
+         [--repl-listen addr] [--replicate-to addr] [--replicate-from addr]\n\n\
+         batch close: a batch is scored as soon as --max-batch queries wait or no queued \
+         query's submitter can still add to it. Protocol sessions block on each query, so \
+         theirs never wait on a timer; --max-wait-ms applies only while a streaming \
+         submitter (embedded ServeEngine::submit) has tickets queued."
     );
     std::process::exit(2);
 }

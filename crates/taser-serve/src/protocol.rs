@@ -1,7 +1,10 @@
 //! Line-oriented text protocol over stdin/stdout or TCP.
 //!
-//! One command per line, one reply per line (always flushed, so scripted
-//! sessions and `nc` both work):
+//! One command per line, one reply per line, flushed before the next
+//! command is read (so scripted sessions and `nc` both work). A `query`
+//! reply — the hot verb — is formatted, newline included, into a buffer
+//! the session owns and leaves in a single `write`, hence a single TCP
+//! segment; every other reply is written as its text and then the newline.
 //!
 //! ```text
 //! ingest <u> <v> <t>       ->  ingested eid=<eid>
@@ -59,7 +62,9 @@
 //! node that is still starting (or failing over) should connect through
 //! [`client::connect_with_retry`].
 
+use crate::admission::Overloaded;
 use crate::engine::ServeEngine;
+use std::fmt::Write as _;
 use std::io::{BufRead, ErrorKind, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
@@ -207,25 +212,11 @@ pub fn respond(engine: &ServeEngine, cmd: Command) -> String {
             Ok(e) => format!("ingested eid={}", e.eid),
             Err(msg) => format!("error {msg}"),
         },
-        Command::Query { src, dst, t, lane } => match engine.submit_lane(src, dst, t, lane) {
-            Ok(ticket) => {
-                // a healthy engine resolves well inside the SLO; the bound
-                // only fires when a worker is wedged (not crashed — a crash
-                // resolves the ticket as WorkerFailed immediately), and
-                // turns that into a typed reply instead of a hung client
-                let policy = engine.admission_policy();
-                let budget = policy.slo.saturating_mul(4).max(Duration::from_secs(2));
-                match ticket.wait_timeout(budget) {
-                    Some(Ok(r)) => format!("score {:.6} gen={}", r.prob, r.generation),
-                    Some(Err(shed)) => format!("overloaded {shed}"),
-                    None => format!(
-                        "overloaded worker_failed lane={}",
-                        lane.min(policy.lanes - 1)
-                    ),
-                }
-            }
-            Err(shed) => format!("overloaded {shed}"),
-        },
+        Command::Query { src, dst, t, lane } => {
+            let mut out = String::new();
+            query_reply(engine, src, dst, t, lane, &mut out);
+            out
+        }
         Command::Publish => format!("published gen={}", engine.publish()),
         Command::Stats => engine.stats().to_json(),
         Command::Metrics => render_metrics(engine),
@@ -275,6 +266,33 @@ pub fn respond(engine: &ServeEngine, cmd: Command) -> String {
         },
         Command::Quit => "bye".to_string(),
     }
+}
+
+/// Scores one query and appends the reply text (no newline) to `out`. The
+/// session blocks on the ticket before it reads its next line, and says
+/// so at submit, so the batch does not wait out `max_wait` for it.
+fn query_reply(engine: &ServeEngine, src: u32, dst: u32, t: f64, lane: usize, out: &mut String) {
+    let outcome = match engine.submit_blocking(src, dst, t, lane) {
+        Ok(ticket) => {
+            // a healthy engine resolves well inside the SLO; the bound
+            // only fires when a worker is wedged (not crashed — a crash
+            // resolves the ticket as WorkerFailed immediately), and
+            // turns that into a typed reply instead of a hung client
+            let policy = engine.admission_policy();
+            let budget = policy.slo.saturating_mul(4).max(Duration::from_secs(2));
+            ticket
+                .wait_timeout(budget)
+                .unwrap_or(Err(Overloaded::WorkerFailed {
+                    lane: lane.min(policy.lanes - 1),
+                }))
+        }
+        Err(shed) => Err(shed),
+    };
+    let written = match outcome {
+        Ok(r) => write!(out, "score {:.6} gen={}", r.prob, r.generation),
+        Err(shed) => write!(out, "overloaded {shed}"),
+    };
+    written.expect("formatting into a String cannot fail");
 }
 
 /// The full Prometheus-text scrape behind the `metrics` verb: per-lane
@@ -348,7 +366,8 @@ fn is_disconnect(e: &std::io::Error) -> bool {
 }
 
 /// Runs one session: reads commands until `quit` or EOF, writing one flushed
-/// reply per command.
+/// reply per command — a `query` reply as one `write` of text + newline
+/// from a buffer reused across the session.
 ///
 /// Robust against misbehaving clients: bytes that are not UTF-8 get an
 /// `error` reply and the session continues (reading raw lines, not
@@ -362,6 +381,7 @@ pub fn run_session(
     mut writer: impl Write,
 ) -> std::io::Result<()> {
     let mut raw = Vec::new();
+    let mut query_line = String::new();
     loop {
         raw.clear();
         match reader.read_until(b'\n', &mut raw) {
@@ -370,25 +390,32 @@ pub fn run_session(
             Err(e) if is_disconnect(&e) => return Ok(()),
             Err(e) => return Err(e),
         }
-        let reply = match std::str::from_utf8(&raw) {
-            Err(_) => "error input is not valid UTF-8".to_string(),
-            Ok(line) => match parse(line) {
+        let parsed = std::str::from_utf8(&raw)
+            .map_err(|_| "input is not valid UTF-8".to_string())
+            .and_then(parse);
+        let mut last = false;
+        let sent = if let Ok(Some(Command::Query { src, dst, t, lane })) = parsed {
+            query_line.clear();
+            query_reply(engine, src, dst, t, lane, &mut query_line);
+            query_line.push('\n');
+            writer.write_all(query_line.as_bytes())
+        } else {
+            let reply = match parsed {
                 Ok(None) => continue,
                 Ok(Some(cmd)) => {
-                    let reply = respond(engine, cmd);
-                    if cmd == Command::Quit || cmd == Command::Shutdown {
-                        match writeln!(writer, "{reply}").and_then(|()| writer.flush()) {
-                            Err(e) if !is_disconnect(&e) => return Err(e),
-                            _ => return Ok(()),
-                        }
-                    }
-                    reply
+                    last = cmd == Command::Quit || cmd == Command::Shutdown;
+                    respond(engine, cmd)
                 }
                 Err(msg) => format!("error {msg}"),
-            },
+            };
+            // text, then the newline — deliberately two writes: coalescing
+            // these is a design the ledger gate rejects (EXPERIMENTS.md,
+            // "What the ledger gate currently forbids on the wire path")
+            writeln!(writer, "{reply}")
         };
-        match writeln!(writer, "{reply}").and_then(|()| writer.flush()) {
-            Ok(()) => {}
+        match sent.and_then(|()| writer.flush()) {
+            Ok(()) if !last => {}
+            Ok(()) => return Ok(()),
             Err(e) if is_disconnect(&e) => return Ok(()),
             Err(e) => return Err(e),
         }
@@ -471,6 +498,48 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    /// Runs `script` as one session and returns what each `write` call on
+    /// the connection carried — over an unbuffered socket, one call is one
+    /// segment.
+    fn session_writes(engine: &ServeEngine, script: &str) -> Vec<String> {
+        struct Calls(Vec<String>);
+        impl Write for Calls {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(String::from_utf8(buf.to_vec()).unwrap());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut calls = Calls(Vec::new());
+        run_session(engine, script.as_bytes(), &mut calls).unwrap();
+        calls.0
+    }
+
+    #[test]
+    fn score_reply_is_one_write_and_other_verbs_keep_theirs() {
+        let engine = engine();
+        let writes = session_writes(
+            &engine,
+            "ingest 0 5 20\nquery 0 5 30\nstats\nquery 1 6 30 1\ndigest\nbogus\nquit\n",
+        );
+        assert_eq!(writes.len(), 12, "{writes:?}");
+        assert_eq!(writes[..2], ["ingested eid=10", "\n"]);
+        for score in [&writes[2], &writes[5]] {
+            assert!(score.starts_with("score 0."), "{score}");
+            assert!(score.ends_with("\n"), "text and newline in one write");
+            assert_eq!(score.matches('\n').count(), 1);
+        }
+        assert!(writes[3].starts_with('{') && writes[3].ends_with('}'));
+        assert!(writes[6].starts_with("digest ") && !writes[6].ends_with('\n'));
+        assert!(writes[8].starts_with("error unknown command"));
+        assert_eq!(writes[10], "bye");
+        for newline in [1, 4, 7, 9, 11] {
+            assert_eq!(writes[newline], "\n");
+        }
     }
 
     #[test]
@@ -686,16 +755,11 @@ query 9 9 99
         )
         .unwrap();
         let held = engine.submit(0, 5, 40.0).expect("first query admitted");
-        let reply = respond(
-            &engine,
-            Command::Query {
-                src: 1,
-                dst: 6,
-                t: 40.0,
-                lane: 0,
-            },
+        assert_eq!(
+            session_writes(&engine, "query 1 6 40\n"),
+            ["overloaded queue_full lane=0\n"],
+            "typed shed reply, one write"
         );
-        assert_eq!(reply, "overloaded queue_full lane=0", "typed shed reply");
         assert!(held.wait().is_ok(), "parked query still scores");
     }
 
@@ -741,16 +805,11 @@ query 9 9 99
         )
         .unwrap();
         let start = std::time::Instant::now();
-        let reply = respond(
-            &engine,
-            Command::Query {
-                src: 0,
-                dst: 5,
-                t: 40.0,
-                lane: 0,
-            },
+        assert_eq!(
+            session_writes(&engine, "query 0 5 40\n"),
+            ["overloaded worker_failed lane=0\n"],
+            "typed timeout reply, one write"
         );
-        assert_eq!(reply, "overloaded worker_failed lane=0");
         assert!(
             start.elapsed() < Duration::from_secs(4),
             "reply must beat the stall, got it after {:?}",

@@ -166,6 +166,21 @@ fn injected_worker_panics_resolve_every_ticket_and_the_engine_heals() {
     assert_eq!(st.shed_worker_failed, worker_failed);
     assert_eq!(st.shed_full, shed_at_door);
     assert_eq!(st.admitted + st.shed_full, LOAD as u64);
+    for lane in &st.lanes {
+        assert_eq!(
+            lane.admitted,
+            lane.scored
+                + lane.shed_deadline
+                + lane.shed_worker_failed
+                + lane.queued
+                + lane.in_flight
+        );
+    }
+    assert_eq!(
+        engine.streaming_queued(),
+        0,
+        "tickets failed by a panicking worker no longer hold the batch timer"
+    );
 
     // and the engine still serves: fresh queries score on the restarted pool
     let r = engine

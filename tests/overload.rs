@@ -118,6 +118,57 @@ fn past_capacity_sheds_typed_and_accounting_closes() {
     assert_eq!(stats.lanes.len(), 2);
     assert_eq!(stats.lanes[0].shed_full, (BURST - 4) as u64);
     assert_eq!(stats.lanes[1].admitted, 1);
+    for lane in &stats.lanes {
+        assert_eq!(
+            lane.admitted,
+            lane.scored
+                + lane.shed_deadline
+                + lane.shed_worker_failed
+                + lane.queued
+                + lane.in_flight
+        );
+    }
+    assert_eq!(
+        engine.streaming_queued(),
+        0,
+        "drained submit() tickets no longer hold the batch timer"
+    );
+}
+
+/// A caller that blocks on its ticket (`score`) has nothing more to add to
+/// the batch, so neither `max_wait` nor the SLO margin — both the better
+/// part of an hour away here — may hold its query.
+#[test]
+fn blocking_callers_are_not_held_for_the_batch_timer() {
+    let (artifact, log, t_end) = trained_artifact();
+    let engine = ServeEngine::new(
+        artifact,
+        log,
+        ServeConfig {
+            workers: 1,
+            batch: BatchPolicy {
+                max_batch: 1024,
+                max_wait: Duration::from_secs(3600),
+            },
+            slo: Duration::from_secs(3600),
+            publish_every: 0,
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let t0 = Instant::now();
+    for i in 0..3u32 {
+        let r = engine
+            .score_lane(i, i * 2 + 1, t_end + 1.0 + f64::from(i), (i % 2) as usize)
+            .expect("scored");
+        assert!(r.prob > 0.0 && r.prob < 1.0);
+    }
+    assert!(
+        t0.elapsed() < Duration::from_secs(60),
+        "score() sat out a batch timer ({:?})",
+        t0.elapsed()
+    );
+    assert_eq!(engine.stats().batches, 3, "one caller, one query per batch");
 }
 
 /// The deadline margin closes a batch that would otherwise linger for the
@@ -213,5 +264,10 @@ fn impossible_slo_yields_no_goodput_but_every_ticket_resolves() {
         stats.shed_deadline + stats.slo_missed,
         u64::from(N),
         "every admitted query is either shed expired or scored late"
+    );
+    assert_eq!(
+        engine.streaming_queued(),
+        0,
+        "expiry-shed tickets no longer hold the batch timer"
     );
 }

@@ -22,6 +22,12 @@
 //! evaluations, and occupancy sweeps are inside the assertion — they must
 //! write only into state preallocated at engine construction.
 
+//!
+//! PR 12 extends it to batch formation: draining the admission queue into
+//! a worker's recycled batch buffer — close-reason counter, lane gauges
+//! and ticket fulfillment included — allocates nothing once the buffer has
+//! reached batch size.
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -268,5 +274,65 @@ fn steady_state_scoring_allocates_nothing() {
             evals_after - evals_before
         );
         drop(engine);
+    }
+
+    // -- batch formation: the worker loop's `next_batch` into a recycled
+    //    buffer, the per-batch close-reason counter bump, and fulfilling
+    //    the drained tickets. Submission (one ticket `Arc` per query) is
+    //    paid up front, outside the window. --
+    {
+        use taser_serve::{AdmissionPolicy, AdmissionQueue, BatchPolicy, ScoreResult};
+        const BATCH: usize = 4;
+        const BATCHES: usize = 20;
+        let queue = AdmissionQueue::new(AdmissionPolicy {
+            batch: BatchPolicy {
+                max_batch: BATCH,
+                max_wait: std::time::Duration::from_secs(3600),
+            },
+            ..AdmissionPolicy::default()
+        });
+        let query = LinkQuery {
+            src: 0,
+            dst: 8,
+            t: 40.0,
+        };
+        // three possible windows plus the warmup batch that sizes the buffer
+        let tickets: Vec<_> = (0..BATCH * (3 * BATCHES + 1))
+            .map(|_| queue.submit_blocking(query, 0).expect("admitted"))
+            .collect();
+        let full =
+            taser_obs::global().counter("taser_admission_batch_close_total{reason=\"full\"}");
+        let mut batch = Vec::new();
+        let mut drain = |batches: usize| {
+            for _ in 0..batches {
+                assert!(queue.next_batch(&mut batch));
+                assert_eq!(batch.len(), BATCH);
+                for p in batch.drain(..) {
+                    let lane = p.lane;
+                    p.fulfill(ScoreResult {
+                        prob: 0.5,
+                        generation: 0,
+                    });
+                    queue.mark_done(lane);
+                }
+            }
+        };
+        drain(1);
+        let closes_before = full.get();
+        let mut windows = 0u64;
+        let allocs = cleanest_window(|| {
+            windows += 1;
+            drain(BATCHES);
+        });
+        assert_eq!(
+            full.get() - closes_before,
+            windows * BATCHES as u64,
+            "one close-reason bump per drained batch"
+        );
+        assert_eq!(
+            allocs, 0,
+            "batch formation allocated {allocs} times over {BATCHES} batches"
+        );
+        drop(tickets);
     }
 }
