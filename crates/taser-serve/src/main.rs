@@ -387,7 +387,8 @@ fn run(args: &[String]) {
         None => {
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
-            protocol::run_session(&engine, stdin.lock(), stdout.lock()).expect("session");
+            protocol::run_session(&engine, stdin.lock(), stdout.lock(), |_| Ok(()))
+                .expect("session");
             if let Some(path) = trace_out {
                 std::fs::write(&path, taser_obs::chrome_trace_json()).expect("write trace");
                 eprintln!("trace -> {path}");

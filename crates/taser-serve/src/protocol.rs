@@ -1,10 +1,11 @@
 //! Line-oriented text protocol over stdin/stdout or TCP.
 //!
 //! One command per line, one reply per line, flushed before the next
-//! command is read (so scripted sessions and `nc` both work). A `query`
-//! reply — the hot verb — is formatted, newline included, into a buffer
-//! the session owns and leaves in a single `write`, hence a single TCP
-//! segment; every other reply is written as its text and then the newline.
+//! command is read (so scripted sessions and `nc` both work). Every reply
+//! but `ingest`'s is formatted, newline included, into a buffer the
+//! session owns and leaves in a single `write` with `TCP_NODELAY` on, so
+//! it never waits behind the client's delayed ACK of the reply before it.
+//! An `ingest` ack is its text and then the newline, under Nagle.
 //!
 //! ```text
 //! ingest <u> <v> <t>       ->  ingested eid=<eid>
@@ -366,8 +367,15 @@ fn is_disconnect(e: &std::io::Error) -> bool {
 }
 
 /// Runs one session: reads commands until `quit` or EOF, writing one flushed
-/// reply per command — a `query` reply as one `write` of text + newline
-/// from a buffer reused across the session.
+/// reply per command from a buffer reused across the session.
+///
+/// Before each reply the session calls `push(on)`: `true` asks the
+/// transport to send every write at once (`TCP_NODELAY`), `false` lets it
+/// coalesce them (Nagle). A reply other than `ingest`'s asks for push and
+/// leaves in one `write` of text + newline; an `ingest` ack (its `error`
+/// too) asks for Nagle and is written as text, then newline. A failed
+/// `push` ends the session like a failed write. Transports with no such
+/// knob pass `|_| Ok(())`.
 ///
 /// Robust against misbehaving clients: bytes that are not UTF-8 get an
 /// `error` reply and the session continues (reading raw lines, not
@@ -379,9 +387,10 @@ pub fn run_session(
     engine: &ServeEngine,
     mut reader: impl BufRead,
     mut writer: impl Write,
+    mut push: impl FnMut(bool) -> std::io::Result<()>,
 ) -> std::io::Result<()> {
     let mut raw = Vec::new();
-    let mut query_line = String::new();
+    let mut reply = String::new();
     loop {
         raw.clear();
         match reader.read_until(b'\n', &mut raw) {
@@ -394,25 +403,37 @@ pub fn run_session(
             .map_err(|_| "input is not valid UTF-8".to_string())
             .and_then(parse);
         let mut last = false;
-        let sent = if let Ok(Some(Command::Query { src, dst, t, lane })) = parsed {
-            query_line.clear();
-            query_reply(engine, src, dst, t, lane, &mut query_line);
-            query_line.push('\n');
-            writer.write_all(query_line.as_bytes())
-        } else {
-            let reply = match parsed {
-                Ok(None) => continue,
-                Ok(Some(cmd)) => {
-                    last = cmd == Command::Quit || cmd == Command::Shutdown;
-                    respond(engine, cmd)
-                }
-                Err(msg) => format!("error {msg}"),
-            };
-            // text, then the newline — deliberately two writes: coalescing
-            // these is a design the ledger gate rejects (EXPERIMENTS.md,
-            // "What the ledger gate currently forbids on the wire path")
-            writeln!(writer, "{reply}")
+        reply.clear();
+        let pushed = match parsed {
+            Ok(None) => continue,
+            Ok(Some(Command::Query { src, dst, t, lane })) => {
+                query_reply(engine, src, dst, t, lane, &mut reply);
+                true
+            }
+            Ok(Some(cmd)) => {
+                last = cmd == Command::Quit || cmd == Command::Shutdown;
+                reply.push_str(&respond(engine, cmd));
+                !matches!(cmd, Command::Ingest { .. })
+            }
+            Err(msg) => {
+                reply.push_str("error ");
+                reply.push_str(&msg);
+                true
+            }
         };
+        let sent = push(pushed).and_then(|()| {
+            if pushed {
+                reply.push('\n');
+                writer.write_all(reply.as_bytes())
+            } else {
+                // an ingest ack stays text, then newline, under Nagle: a
+                // faster ack path is a design the ledger gate rejects
+                // (EXPERIMENTS.md, "What the ledger gate currently
+                // forbids on the wire path")
+                writer.write_all(reply.as_bytes())?;
+                writer.write_all(b"\n")
+            }
+        });
         match sent.and_then(|()| writer.flush()) {
             Ok(()) if !last => {}
             Ok(()) => return Ok(()),
@@ -426,7 +447,10 @@ pub fn run_session(
 /// against the shared engine. Blocks forever (callers spawn it). Transient
 /// accept failures (a client resetting mid-handshake, momentary fd
 /// pressure) are logged and survived — they must not take the server down.
+/// A session that ends on an I/O fault rather than a disconnect is logged
+/// and counted in `taser_protocol_session_errors_total`.
 pub fn serve_tcp(engine: Arc<ServeEngine>, listener: TcpListener) -> std::io::Result<()> {
+    let errors = taser_obs::global().counter("taser_protocol_session_errors_total");
     for stream in listener.incoming() {
         let stream = match stream {
             Ok(s) => s,
@@ -436,13 +460,23 @@ pub fn serve_tcp(engine: Arc<ServeEngine>, listener: TcpListener) -> std::io::Re
                 continue;
             }
         };
-        let engine = engine.clone();
+        let (engine, errors) = (engine.clone(), errors.clone());
         std::thread::spawn(move || {
-            let reader = std::io::BufReader::new(match stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => return,
+            let mut nodelay = false; // an accepted socket starts under Nagle
+            let session = stream.try_clone().and_then(|read_half| {
+                let reader = std::io::BufReader::new(read_half);
+                run_session(&engine, reader, &stream, |on| {
+                    if on != nodelay {
+                        stream.set_nodelay(on)?;
+                        nodelay = on;
+                    }
+                    Ok(())
+                })
             });
-            let _ = run_session(&engine, reader, stream);
+            if let Err(e) = session {
+                errors.inc();
+                eprintln!("session error: {e}");
+            }
         });
     }
     Ok(())
@@ -502,20 +536,26 @@ mod tests {
 
     /// Runs `script` as one session and returns what each `write` call on
     /// the connection carried — over an unbuffered socket, one call is one
-    /// segment.
-    fn session_writes(engine: &ServeEngine, script: &str) -> Vec<String> {
-        struct Calls(Vec<String>);
-        impl Write for Calls {
+    /// segment — with the push state the session last asked for.
+    fn session_writes(engine: &ServeEngine, script: &str) -> Vec<(String, bool)> {
+        let pushed = std::cell::Cell::new(false);
+        struct Calls<'a>(Vec<(String, bool)>, &'a std::cell::Cell<bool>);
+        impl Write for Calls<'_> {
             fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.push(String::from_utf8(buf.to_vec()).unwrap());
+                let text = String::from_utf8(buf.to_vec()).unwrap();
+                self.0.push((text, self.1.get()));
                 Ok(buf.len())
             }
             fn flush(&mut self) -> std::io::Result<()> {
                 Ok(())
             }
         }
-        let mut calls = Calls(Vec::new());
-        run_session(engine, script.as_bytes(), &mut calls).unwrap();
+        let mut calls = Calls(Vec::new(), &pushed);
+        run_session(engine, script.as_bytes(), &mut calls, |on| {
+            pushed.set(on);
+            Ok(())
+        })
+        .unwrap();
         calls.0
     }
 
@@ -524,22 +564,50 @@ mod tests {
         let engine = engine();
         let writes = session_writes(
             &engine,
-            "ingest 0 5 20\nquery 0 5 30\nstats\nquery 1 6 30 1\ndigest\nbogus\nquit\n",
+            "ingest 0 5 20\nquery 0 5 30\nstats\nquery 1 6 30 1\ndigest\nbogus\n\
+             repl\nmetrics\ningest 0 5 1\nquit\n",
         );
         assert_eq!(writes.len(), 12, "{writes:?}");
-        assert_eq!(writes[..2], ["ingested eid=10", "\n"]);
-        for score in [&writes[2], &writes[5]] {
-            assert!(score.starts_with("score 0."), "{score}");
-            assert!(score.ends_with("\n"), "text and newline in one write");
-            assert_eq!(score.matches('\n').count(), 1);
+        // ingest acks, the non-chronological error too: text, then the
+        // newline, with push off
+        for (at, text) in [(0, "ingested eid=10"), (9, "error stream must be")] {
+            assert!(writes[at].0.starts_with(text), "{:?}", writes[at]);
+            assert!(!writes[at].0.contains('\n'));
+            assert_eq!(writes[at + 1].0, "\n");
+            assert!(!writes[at].1 && !writes[at + 1].1, "ingest keeps Nagle");
         }
-        assert!(writes[3].starts_with('{') && writes[3].ends_with('}'));
-        assert!(writes[6].starts_with("digest ") && !writes[6].ends_with('\n'));
-        assert!(writes[8].starts_with("error unknown command"));
-        assert_eq!(writes[10], "bye");
-        for newline in [1, 4, 7, 9, 11] {
-            assert_eq!(writes[newline], "\n");
+        // everything else: one write ending in its newline, with push on
+        for (at, head) in [
+            (2, "score 0."),
+            (3, "{\"queries\":"),
+            (4, "score 0."),
+            (5, "digest "),
+            (6, "error unknown command"),
+            (7, "{\"role\":"),
+            (8, "# TYPE "),
+            (11, "bye"),
+        ] {
+            let (text, pushed) = &writes[at];
+            assert!(text.starts_with(head), "{text}");
+            assert!(text.ends_with('\n'), "text and newline in one write");
+            assert!(*pushed, "{head} is pushed");
         }
+        for one_line in [2, 3, 4, 5, 6, 7, 11] {
+            assert_eq!(writes[one_line].0.matches('\n').count(), 1);
+        }
+    }
+
+    #[test]
+    fn a_failed_push_ends_the_session_like_a_failed_write() {
+        use std::io::{Error, ErrorKind};
+        let engine = engine();
+        let fail = |kind: ErrorKind| {
+            run_session(&engine, &b"stats\n"[..], Vec::new(), move |_| {
+                Err(Error::from(kind))
+            })
+        };
+        assert_eq!(fail(ErrorKind::Other).unwrap_err().kind(), ErrorKind::Other);
+        assert!(fail(ErrorKind::ConnectionReset).is_ok(), "a disconnect");
     }
 
     #[test]
@@ -652,7 +720,7 @@ quit
 query 9 9 99
 ";
         let mut out = Vec::new();
-        run_session(&engine, script.as_bytes(), &mut out).unwrap();
+        run_session(&engine, script.as_bytes(), &mut out, |_| Ok(())).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
@@ -757,7 +825,7 @@ query 9 9 99
         let held = engine.submit(0, 5, 40.0).expect("first query admitted");
         assert_eq!(
             session_writes(&engine, "query 1 6 40\n"),
-            ["overloaded queue_full lane=0\n"],
+            [("overloaded queue_full lane=0\n".to_string(), true)],
             "typed shed reply, one write"
         );
         assert!(held.wait().is_ok(), "parked query still scores");
@@ -771,7 +839,7 @@ query 9 9 99
         script.extend_from_slice(&[0xff, 0xfe, 0x80, b'\n']); // not UTF-8
         script.extend_from_slice(b"publish\nquit\n");
         let mut out = Vec::new();
-        run_session(&engine, script.as_slice(), &mut out).unwrap();
+        run_session(&engine, script.as_slice(), &mut out, |_| Ok(())).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4, "{text}");
@@ -807,7 +875,7 @@ query 9 9 99
         let start = std::time::Instant::now();
         assert_eq!(
             session_writes(&engine, "query 0 5 40\n"),
-            ["overloaded worker_failed lane=0\n"],
+            [("overloaded worker_failed lane=0\n".to_string(), true)],
             "typed timeout reply, one write"
         );
         assert!(
@@ -870,7 +938,7 @@ query 9 9 99
         // commands are never answered and late queries shed typed
         let script = "ingest 0 5 20\nshutdown\nstats\n";
         let mut out = Vec::new();
-        run_session(&engine, script.as_bytes(), &mut out).unwrap();
+        run_session(&engine, script.as_bytes(), &mut out, |_| Ok(())).unwrap();
         let text = String::from_utf8(out).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "{text}");
