@@ -1,16 +1,15 @@
 //! Open-loop overload harness for the admission-controlled serve engine.
 //!
-//! Closed-loop clients (the `serve_throughput` harness) can never overload
-//! a server: each waits for its answer before asking again, so the offered
-//! rate self-limits to the service rate. Real streams are **open-loop** —
-//! arrivals keep coming whether or not the server keeps up — so this
-//! harness drives a live [`ServeEngine`] with a Poisson-ish arrival
-//! process at 0.5×/1×/2× its measured capacity and reports what the
-//! admission layer does about it: goodput (queries answered within their
-//! SLO per second), shed rate (typed `Overloaded` rejections), and the
-//! p99.9 latency of admitted queries — which stays bounded under 2×
-//! overload because the per-lane queues are capped, where an unbounded
-//! queue's tail would diverge.
+//! Closed-loop clients can never overload a server: each waits for its
+//! answer before asking again, so the offered rate self-limits to the
+//! service rate. Real streams are **open-loop** — arrivals keep coming
+//! whether or not the server keeps up — so this harness drives a live
+//! [`ServeEngine`] with a Poisson-ish arrival process at 0.5×/1×/2× its
+//! measured capacity and reports what the admission layer does about it:
+//! goodput (queries answered within their SLO per second), shed rate
+//! (typed `Overloaded` rejections), and the p99.9 latency of admitted
+//! queries — which stays bounded under 2× overload because the per-lane
+//! queues are capped, where an unbounded queue's tail would diverge.
 //!
 //! Capacity is measured first, on the same machine in the same process:
 //! the zero-allocation batched scoring loop (what the engine's workers

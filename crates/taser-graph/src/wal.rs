@@ -810,6 +810,33 @@ mod tests {
         assert_eq!(load2.wal_replayed, 1);
     }
 
+    /// The durability bound an ingest ack carries: a process killed without
+    /// a drain loses at most `flush_every - 1` appended records, never a
+    /// flushed one. `mem::forget` stands in for `kill -9`, since `Drop`
+    /// would flush the buffered tail.
+    #[test]
+    fn process_death_loses_only_the_unflushed_tail() {
+        const FLUSH_EVERY: usize = 64;
+        let dir = test_dir("death");
+        let events: Vec<Event> = (0..3 * FLUSH_EVERY as u32 - 1)
+            .map(|i| ev(i, i + 1, i as f64, i))
+            .collect();
+        let (_, mut wal) = recover(&dir, FLUSH_EVERY).unwrap();
+        let mut flushed = 0;
+        for (i, e) in events.iter().enumerate() {
+            if wal.append(e).unwrap() {
+                flushed = i + 1;
+            }
+        }
+        std::mem::forget(wal);
+        assert_eq!(flushed, 2 * FLUSH_EVERY);
+
+        let (load, _) = recover(&dir, FLUSH_EVERY).unwrap();
+        assert_eq!(load.events, events[..flushed]);
+        assert_eq!(events.len() - load.events.len(), FLUSH_EVERY - 1);
+        assert!(!load.wal_truncated);
+    }
+
     #[test]
     fn frame_codec_round_trips_and_rejects_damage() {
         let e = ev(7, 9, 1234.5, 42);

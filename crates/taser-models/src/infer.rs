@@ -15,8 +15,8 @@
 //! tape path gathers.
 //!
 //! [`tape_forward`] is the single tape wiring over that layout, used by the
-//! serving pipeline's fallback path, the differential tests, and the
-//! `infer_forward` bench — so the two paths can never drift apart silently.
+//! serving pipeline's fallback path and the differential tests — so the two
+//! paths can never drift apart silently.
 //!
 //! Numerically the fast path replicates the tape's evaluation order
 //! (ascending-`k` matmuls, identical softmax/LayerNorm formulas, identical
@@ -436,14 +436,9 @@ pub struct PackedModel {
 }
 
 impl PackedModel {
-    /// Packs a built model at the default inference panel width.
+    /// Packs a built model at the inference panel width [`INFER_PANEL`].
     pub fn new(spec: &ModelSpec, model: &BuiltModel, store: &ParamStore) -> Self {
-        Self::with_nr(spec, model, store, INFER_PANEL)
-    }
-
-    /// Packs a built model at an explicit panel width (the `infer_forward`
-    /// bench sweeps this).
-    pub fn with_nr(spec: &ModelSpec, model: &BuiltModel, store: &ParamStore, nr: usize) -> Self {
+        let nr = INFER_PANEL;
         let agg = match &model.agg {
             BuiltAggregator::Tgat { l1, l2 } => PackedAggregator::Tgat {
                 l1: PackedTgatLayer::new(l1, store, nr),
@@ -566,8 +561,8 @@ pub struct TapeArgs<'a> {
 }
 
 /// The tape (autograd-capable) forward over the combined hop layout — the
-/// single wiring shared by the serving pipeline's tape path, the
-/// differential tests, and the `infer_forward` bench.
+/// single wiring shared by the serving pipeline's tape path and the
+/// differential tests.
 pub fn tape_forward(
     g: &mut Graph,
     spec: &ModelSpec,

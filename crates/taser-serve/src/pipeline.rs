@@ -231,8 +231,9 @@ impl ScorePipeline {
         }
     }
 
-    /// Scores one query on its own (the unbatched baseline the throughput
-    /// harness compares against).
+    /// Scores one query on its own: the unbatched oracle the batching
+    /// tests compare against.
+    #[cfg(test)]
     pub fn score_one<I: TemporalIndex + ?Sized>(
         &self,
         csr: &I,

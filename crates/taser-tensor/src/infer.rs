@@ -34,7 +34,7 @@ use crate::optim::ParamStore;
 
 /// Default packed-panel width for inference weights: 16 lanes = two 256-bit
 /// registers per accumulator row on the AVX2+FMA kernel, the fastest width
-/// in the `infer_forward` blocking sweep (see EXPERIMENTS.md).
+/// in the 4/8/16 blocking sweep (EXPERIMENTS.md, "Inference fast path").
 pub const INFER_PANEL: usize = 16;
 
 /// Handle to a range of `f32` scratch inside an [`InferCtx`].

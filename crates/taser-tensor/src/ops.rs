@@ -21,8 +21,8 @@ const PAR_ROW_THRESHOLD: usize = 16;
 pub const MR: usize = 4;
 
 /// Default packed-panel width. 8 f32 lanes = one AVX2 register per
-/// accumulator row; the `infer_forward` harness sweeps 4/8/16
-/// (see EXPERIMENTS.md, "Blocking-parameter sweep").
+/// accumulator row; wider panels spill accumulators in this portable kernel
+/// (EXPERIMENTS.md, "Inference fast path", the 4/8/16 blocking sweep).
 pub const DEFAULT_PANEL: usize = 8;
 
 /// A matrix packed into `NR`-wide column panels for the register-tiled

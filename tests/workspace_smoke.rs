@@ -51,3 +51,72 @@ fn facade_builds_dataset_and_runs_one_trainer_step() {
         .all(|n| n.t < last.t));
     assert!(mrr(&[1]) == 1.0);
 }
+
+/// Every `--bin <name>` a reader can copy from the docs or CI names a
+/// binary the workspace still builds, so deleting a harness without
+/// updating its recipes fails here rather than in a reader's shell.
+#[test]
+fn docs_name_only_existing_bins() {
+    use std::collections::BTreeSet;
+    use std::path::Path;
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    // The `[workspace] members` globs, plus the root package.
+    let mut manifests = vec![root.to_path_buf()];
+    for group in ["crates", "vendor"] {
+        for entry in std::fs::read_dir(root.join(group)).unwrap() {
+            manifests.push(entry.unwrap().path());
+        }
+    }
+    let mut bins = BTreeSet::new();
+    for dir in &manifests {
+        let Ok(toml) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
+            continue;
+        };
+        // Explicit `[[bin]]` targets: the first `name = "..."` after each.
+        for section in toml.split("[[bin]]").skip(1) {
+            let name = section
+                .lines()
+                .find_map(|l| l.trim().strip_prefix("name = "))
+                .expect("[[bin]] without a name");
+            bins.insert(name.trim_matches('"').to_string());
+        }
+        // Targets cargo discovers on its own under `src/bin/`.
+        if let Ok(entries) = std::fs::read_dir(dir.join("src/bin")) {
+            for entry in entries {
+                let path = entry.unwrap().path();
+                if path.extension().is_some_and(|e| e == "rs") {
+                    bins.insert(path.file_stem().unwrap().to_string_lossy().into_owned());
+                }
+            }
+        }
+    }
+
+    let mut missing = Vec::new();
+    for doc in [
+        "README.md",
+        "EXPERIMENTS.md",
+        ".claude/skills/verify/SKILL.md",
+        ".github/workflows/ci.yml",
+    ] {
+        let text = std::fs::read_to_string(root.join(doc)).unwrap();
+        for (at, _) in text.match_indices("--bin") {
+            let rest = &text[at + "--bin".len()..];
+            if !rest.starts_with(char::is_whitespace) {
+                continue; // `--bins`, `--bin=...`
+            }
+            let name: String = rest
+                .trim_start()
+                .chars()
+                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_' || *c == '-')
+                .collect();
+            if !name.is_empty() && !bins.contains(&name) {
+                missing.push(format!("{doc}: --bin {name}"));
+            }
+        }
+    }
+    assert!(
+        missing.is_empty(),
+        "docs name binaries no workspace manifest builds: {missing:?} (known: {bins:?})"
+    );
+}
